@@ -3,13 +3,14 @@
 Two pins, recorded to ``BENCH_adpar_incremental.json``:
 
 * ``test_bench_indexed_batch_speedup`` solves the same Figure-18-scale
-  hard batch (50k strategies, 16 requests, k=5) through ``adpar-exact``
-  (the vectorized column sweep) and ``adpar-incremental`` (the
-  block-summary :class:`~repro.geometry.frontier_index.FrontierIndex`
-  sweep), asserts the answers are identical field-for-field, and pins
-  the indexed path at >= 5x.  The index wins by skipping whole frontier
-  blocks whose minimum z cannot pierce the current best bound, so a
-  regression in the skip gating or the cursor shows up directly here.
+  hard batch (50k strategies, 16 requests, k=5) through the retired
+  vectorized column sweep (frozen in :mod:`adpar_reference`) and the
+  production ``adpar-exact`` indexed sweep, asserts the answers are
+  identical field-for-field, and pins the indexed path at >= 5x.  It
+  wins by jumping between frontier changes, skipping candidates whose
+  admitted-norm floor cannot win, and repairing frontiers
+  incrementally, so a regression in the gating or the cursor shows up
+  directly here.
 * ``test_bench_streaming_tick_cost`` drives availability ticks through
   :class:`~repro.engine.IncrementalSpaceCache` on a sparse-alpha
   ensemble (only ~0.5% of (strategy, dimension) cells depend on
@@ -36,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from adpar_reference import VectorizedReferenceSolver
 from bench_recording import record
 
 from repro.core.relaxation import RelaxationSpace
@@ -96,14 +98,12 @@ def _batch_workload(seed: int = 43):
 def _indexed_vs_vectorized() -> dict:
     ensemble, batches = _batch_workload()
 
-    # The pin targets the sweeps themselves, so both backends come from
-    # the registry and share one relaxation space — the engine wrapper
-    # (request hashing, memoization, report assembly) costs the same on
-    # either side and would only dilute the ratio.
-    registry = default_solver_registry()
+    # The pin targets the sweeps themselves, so both solvers share one
+    # relaxation space and skip the engine wrapper (request hashing,
+    # memoization, report assembly), which would only dilute the ratio.
     context = SolverContext(ensemble, 1.0).with_space()
-    exact = registry.create("adpar-exact", context, {})
-    indexed = registry.create("adpar-incremental", context, {})
+    exact = VectorizedReferenceSolver(context)
+    indexed = default_solver_registry().create("adpar-exact", context, {})
 
     # Warmup batch: both solvers run once so the timed rounds compare
     # the sweeps, not who pays for the sorted orders or the block index

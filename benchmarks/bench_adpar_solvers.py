@@ -5,9 +5,9 @@ Two pins on Figure-18-shaped workloads:
 * ``test_bench_adpar_batch_speedup`` solves the same hard requests
   per-request through the reference :class:`ADPaRExact` (the seed's
   scalar path) and in one :meth:`RecommendationEngine.recommend_alternatives`
-  call (the registry's vectorized batch path), asserts the results are
+  call (the registry's block-staged batch path), asserts the results are
   identical field-for-field, and pins the batch path at >= 5x faster —
-  a regression in the vectorized sweep or the shared relaxation geometry
+  a regression in the exact sweep or the shared relaxation geometry
   fails the bench.
 * ``test_bench_adpar_backends`` times every registered backend through
   the engine on one workload, so a pathological slowdown in any backend

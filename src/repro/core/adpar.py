@@ -25,8 +25,8 @@ This class is the reference implementation (and the only one exposing
 :meth:`~ADPaRExact.trace`).  The public entry point for serving traffic
 is the solver registry — :mod:`repro.engine.solvers` registers this
 algorithm as ``adpar-exact`` (default) next to the weighted variant and
-the §5.2.1 baselines, with a vectorized batch path pinned
-bitwise-identical to this class, and
+the §5.2.1 baselines, as an index-pruned sweep staged per block of
+requests and pinned bitwise-identical to this class, and
 :meth:`repro.engine.RecommendationEngine.recommend_alternative` /
 :meth:`~repro.engine.RecommendationEngine.recommend_alternatives` route
 through it with caching.

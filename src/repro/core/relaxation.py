@@ -157,8 +157,8 @@ def reclaim_space(space: "RelaxationSpace", pool: BufferPool) -> int:
     space._orders = None
     sval0, sval1, sval2 = space._svals
     space._svals = [None, None, None]
-    xrank = space._xrank
-    space._xrank = None
+    y_in_z_order = space._y_in_z_order
+    space._y_in_z_order = None
     index = space._frontier_index
     space._frontier_index = None
     zs = None
@@ -170,8 +170,8 @@ def reclaim_space(space: "RelaxationSpace", pool: BufferPool) -> int:
         index._zs = None
         index._ys = None
     del index
-    buffers = (points, orders, sval0, sval1, sval2, xrank, zs)
-    del points, orders, sval0, sval1, sval2, xrank, zs
+    buffers = (points, orders, sval0, sval1, sval2, y_in_z_order, zs)
+    del points, orders, sval0, sval1, sval2, y_in_z_order, zs
     reclaimed = 0
     for array in buffers:
         # Three references when unshared: the tuple slot, the loop
@@ -239,7 +239,7 @@ class RelaxationSpace:
         # callers that never sweep (e.g. the R-tree baseline) skip them.
         self._orders: "np.ndarray | None" = None
         self._svals: "list[np.ndarray | None]" = [None, None, None]
-        self._xrank: "np.ndarray | None" = None
+        self._y_in_z_order: "np.ndarray | None" = None
         self._frontier_index: "FrontierIndex | None" = None
         # Last tick's per-dimension mover sort (order, sorted rows) —
         # revalidated and reused by :meth:`shifted`.
@@ -278,14 +278,16 @@ class RelaxationSpace:
         return self._sorted_values(0)
 
     @property
-    def xrank(self) -> np.ndarray:
-        """Admission rank per point: its position in the x-sorted order."""
-        if self._xrank is None:
-            order = self.dimension_orders[0]
-            rank = np.empty(order.size, dtype=np.intp)
-            rank[order] = np.arange(order.size, dtype=np.intp)
-            self._xrank = rank
-        return self._xrank
+    def sorted_y(self) -> np.ndarray:
+        """The quality column of :attr:`points`, sorted ascending."""
+        return self._sorted_values(1)
+
+    @property
+    def y_in_z_order(self) -> np.ndarray:
+        """The y column of :attr:`points`, listed in the z-sorted order."""
+        if self._y_in_z_order is None:
+            self._y_in_z_order = self.points[self.dimension_orders[2], 1]
+        return self._y_in_z_order
 
     @property
     def frontier_index(self) -> FrontierIndex:
@@ -369,7 +371,7 @@ class RelaxationSpace:
             mover_values[points_col] = values
         derived.points = points
         derived._svals = [None, None, None]
-        derived._xrank = None
+        derived._y_in_z_order = None
         derived._frontier_index = None
         derived._mover_orders = None
         if self._orders is None:
@@ -381,7 +383,7 @@ class RelaxationSpace:
             # included — are bitwise the parent's, so share them.
             derived._orders = self._orders
             derived._svals = list(self._svals)
-            derived._xrank = self._xrank
+            derived._y_in_z_order = self._y_in_z_order
             derived._frontier_index = self._frontier_index
             derived._mover_orders = self._mover_orders
             return derived
@@ -453,10 +455,10 @@ class RelaxationSpace:
                     pool.give(permuted)
             derived._svals[d] = new_sorted
         derived._orders = orders
-        if moved[0].size == 0:
-            # The cost column kept its values and order, so the rank
-            # map carries over untouched.
-            derived._xrank = self._xrank
+        if moved[1].size == 0 and moved[2].size == 0:
+            # The y values and the z order are the parent's, so the y
+            # column in z order carries over untouched.
+            derived._y_in_z_order = self._y_in_z_order
         if self._frontier_index is not None:
             derived._frontier_index = FrontierIndex(
                 derived._sorted_values(1),
@@ -498,8 +500,8 @@ class RelaxationSpace:
         Equal — value for value — to ``np.sort`` respectively
         ``np.unique`` of the relaxation matrix's cost column, but derived
         from the precomputed :attr:`sorted_x` in ``O(n)``: subtraction
-        and clipping are monotone, so the point order survives.  This is
-        what lets the batch path amortize the per-request sweep setup.
+        and clipping are monotone, so the point order survives.  The
+        exact ADPaR backend sweeps these candidates without sorting.
         """
         sorted_relax = np.maximum(self.sorted_x - float(origin_x), 0.0)
         keep = np.empty(sorted_relax.size, dtype=bool)
@@ -508,67 +510,29 @@ class RelaxationSpace:
         return sorted_relax, sorted_relax[keep]
 
     def sweep_table(
-        self, origin_x: float, eps: float, scratch=None
+        self, origin_x: float, eps: float
     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """:meth:`sweep_values` plus the per-candidate coverage prefix.
 
         ``prefix[j]`` equals
         ``np.searchsorted(sorted_relax, xs[j] + eps, side="right")`` —
-        the number of rows a sweep admits at candidate ``j`` — but is
-        read off the uniqueness mask in ``O(n)``: every row's value *is*
-        some candidate, so the count of rows ``<= xs[j] + eps`` is the
-        start offset of the next distinct value, unless a later
-        candidate falls within ``eps`` of ``xs[j]``.  That near-collision
-        is detected with the identical float comparison the search would
+        the number of rows a sweep admits at candidate ``j``.  Every
+        row's value *is* some candidate, so that count is the start
+        offset of the next distinct value, unless a later candidate
+        falls within ``eps`` of ``xs[j]``.  That near-collision is
+        detected with the identical float comparison the search would
         make (``xs[j + 1] <= xs[j] + eps``), and any hit falls back to
-        the real ``searchsorted`` — so the returned prefix is
-        index-for-index what the direct computation yields.
-
-        ``scratch``, when given, is a duck-typed buffer bundle (the
-        solver's per-thread sweep scratch: ``table_sorted``, ``mask``,
-        ``table_xs``, ``table_starts``, ``table_prefix``, ``tmp``,
-        ``arange``, all sized ``n``) that receives every intermediate —
-        the returned arrays then alias the scratch and stay valid until
-        its next use.  Both forms run the identical float operations.
+        the real ``searchsorted``.  The exact ADPaR backend reads the
+        same admission rule by binary search over ``sorted_relax``; this
+        full table is its reference form.
         """
         n = self.sorted_x.size
-        if scratch is None:
-            sorted_relax = np.maximum(self.sorted_x - float(origin_x), 0.0)
-            keep = np.empty(n, dtype=bool)
-        else:
-            sorted_relax = np.subtract(
-                self.sorted_x, float(origin_x), out=scratch.table_sorted
-            )
-            np.maximum(sorted_relax, 0.0, out=sorted_relax)
-            keep = scratch.mask
-        keep[0] = True
-        np.not_equal(sorted_relax[1:], sorted_relax[:-1], out=keep[1:])
-        if scratch is None:
-            xs = sorted_relax[keep]
-            starts = np.flatnonzero(keep)
-        else:
-            u = int(np.count_nonzero(keep))
-            xs = scratch.table_xs[:u]
-            np.compress(keep, sorted_relax, out=xs)
-            starts = scratch.table_starts[:u]
-            np.compress(keep, scratch.arange, out=starts)
-        collision = False
-        if xs.size > 1:
-            if scratch is None:
-                collision = bool(np.any(xs[1:] <= xs[:-1] + eps))
-            else:
-                # ``keep`` is free once ``starts`` is extracted.
-                thresholds = np.add(xs[:-1], eps, out=scratch.tmp[: xs.size - 1])
-                np.less_equal(xs[1:], thresholds, out=keep[: xs.size - 1])
-                collision = bool(keep[: xs.size - 1].any())
-        if collision:
+        sorted_relax, xs = self.sweep_values(origin_x)
+        starts = np.searchsorted(sorted_relax, xs, side="left")
+        if xs.size > 1 and bool(np.any(xs[1:] <= xs[:-1] + eps)):
             prefix = np.searchsorted(sorted_relax, xs + eps, side="right")
         else:
-            prefix = (
-                np.empty(xs.size, dtype=np.intp)
-                if scratch is None
-                else scratch.table_prefix[: xs.size]
-            )
+            prefix = np.empty(xs.size, dtype=np.intp)
             prefix[:-1] = starts[1:]
             prefix[-1] = n
         return sorted_relax, xs, prefix

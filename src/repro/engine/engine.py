@@ -433,9 +433,10 @@ class RecommendationEngine:
         Results are identical — request for request — to the scalar
         method, but cache misses are routed through the backend's
         :meth:`~repro.engine.solvers.AdparSolver.solve_batch`, which
-        amortizes the relaxation geometry across the whole batch (a
-        5-60x speedup for ``adpar-exact`` on Figure-18-scale ensembles;
-        ``benchmarks/bench_adpar_solvers.py`` pins it).  ``k``, when
+        stages the exact sweep's setup and finalization per block of
+        requests (``benchmarks/bench_adpar_solvers.py`` pins the batch
+        path at >= 5x per-request :class:`~repro.core.adpar.ADPaRExact`
+        on Figure-18-scale ensembles).  ``k``, when
         given, overrides every request's own ``k``.  Raises
         :class:`InfeasibleRequestError` if any request is infeasible,
         like the scalar path; callers that want per-request verdicts

@@ -9,13 +9,12 @@ maps stable backend names to factories so callers (the engine, the CLI's
 rewiring, exactly parallel to :class:`~repro.engine.registry.PlannerRegistry`:
 
 ========================  ====================================================
-``adpar-exact``           Vectorized exact sweep (Theorem 4), pinned
-                          bitwise-identical to :class:`ADPaRExact` — the
-                          default.
-``adpar-incremental``     Index-pruned exact sweep over delta-maintained
-                          spaces; bitwise-identical to ``adpar-exact``
-                          but skips per-request sorts and prunes frontier
-                          work through a block-summary index.
+``adpar-exact``           Exact sweep (Theorem 4), staged per block of
+                          requests over the space's cached orders and
+                          frontier, pinned bitwise-identical to
+                          :class:`ADPaRExact` — the default.
+``adpar-incremental``     Alias of ``adpar-exact`` (same class), kept for
+                          specs and journals that name it.
 ``adpar-weighted``        Exact under a monotone penalty: ``norm`` ∈
                           {l1, l2, linf} and per-dimension ``weights``.
 ``onedim``                Baseline2 — one-parameter-at-a-time refinement
@@ -25,13 +24,14 @@ rewiring, exactly parallel to :class:`~repro.engine.registry.PlannerRegistry`:
                           (exact, exponential).
 ========================  ====================================================
 
-All five share the context's :class:`~repro.core.relaxation.RelaxationSpace`,
+All of them share the context's :class:`~repro.core.relaxation.RelaxationSpace`,
 so one engine comparing several backends over the same ensemble builds
 the unified smaller-is-better geometry once.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from dataclasses import dataclass
@@ -43,7 +43,7 @@ import numpy as np
 from repro.baselines.adpar_bruteforce import adpar_brute_force
 from repro.baselines.adpar_onedim import OneDimBaseline
 from repro.baselines.adpar_rtree import RTreeBaseline
-from repro.core.adpar import ADPaRResult, finalize_result, unpack_request
+from repro.core.adpar import ADPaRResult, unpack_request
 from repro.core.adpar_variants import RelaxationPenalty, WeightedADPaR
 from repro.core.params import TriParams
 from repro.core.relaxation import RelaxationSpace
@@ -51,7 +51,6 @@ from repro.core.request import DeploymentRequest
 from repro.core.strategy import StrategyEnsemble
 from repro.exceptions import InfeasibleRequestError, UnknownSolverError
 from repro.geometry.frontier_index import FrontierCursor
-from repro.geometry.sweepline import block_frontier
 
 _EPS = 1e-12
 
@@ -124,423 +123,292 @@ def solver_options_key(options: "dict | None") -> tuple:
 
 
 # --------------------------------------------------------------------- exact
-def _vectorized_sweep(
-    space: RelaxationSpace, relax: np.ndarray, origin_x: float, k: int
-) -> tuple[float, float, float]:
-    """The exact sweep of ``ADPaRExact._sweep``, result-identical but fast.
+#: Byte budget of one thread's warm sweep buffers.  A block stages as
+#: many requests as fit beside the per-request buffers (at least one),
+#: so retained scratch is bounded per thread, whatever the batch size,
+#: the catalog size or the number of cached solver instances.
+_SCRATCH_BYTES = 8 << 20
 
-    The reference scan evaluates the full 2-D Pareto frontier at *every*
-    candidate cost relaxation — ``O(|S|)`` work per candidate.  The
-    returned optimum, however, is the lexicographic minimum of
-    ``(X² + Y² + Z², X, Y)`` over all (candidate, frontier-point) pairs
-    (the reference's strict-improvement scan order is exactly that tie
-    break), which licenses two prunes that never change the winner:
-
-    * **Frontier-change gating.**  If no strategy entering at candidate
-      ``x`` pierces the current (quality, latency) staircase, the
-      frontier at ``x`` equals the last evaluated one, so every pair at
-      ``x`` is strictly dominated by the same ``(Y, Z)`` at the smaller,
-      already-evaluated ``x`` — skip without recomputing.  Piercing is a
-      binary search against the staircase corners per entering strategy.
-    * **Global 2-D bound.**  ``G``, the unconstrained-cost optimum of
-      ``Y² + Z²`` (one frontier pass over all strategies), lower-bounds
-      every candidate's 2-D completion, so the scan can stop at
-      ``X² + G ≥ best`` — strictly earlier than the reference's
-      ``X² ≥ best`` Figure-8 bound.
-
-    Candidate values come from the space's presorted cost column
-    (:meth:`RelaxationSpace.sweep_values` matches ``np.unique`` value for
-    value), rows are lexsorted by (quality, latency) once per request,
-    and frontiers are enumerated by
-    :func:`~repro.geometry.sweepline.block_frontier`, which yields
-    exactly what the reference heap sweep yields.  Property tests pin the
-    result bitwise-identical to ``ADPaRExact``.
-    """
-    _, xs = space.sweep_values(origin_x)
-    yz_order = np.lexsort((relax[:, 2], relax[:, 1]))
-    ys = relax[yz_order, 1]
-    zs = relax[yz_order, 2]
-    x_in_yz = relax[yz_order, 0]
-
-    # Admission step per row: row joins S_j iff x_row <= xs[j] + eps,
-    # i.e. at the first candidate whose threshold reaches its value.
-    thresholds = xs + _EPS
-    enter_at = np.searchsorted(thresholds, x_in_yz, side="left")
-    enter_order = np.argsort(enter_at, kind="stable")
-    enter_sorted = enter_at[enter_order]
-    y_entering = ys[enter_order]
-    z_entering = zs[enter_order]
-    starts = np.searchsorted(enter_sorted, np.arange(xs.size + 1), side="left")
-
-    # Unconstrained-cost lower bound on any candidate's 2-D completion.
-    G = min((y * y + z * z for y, z in block_frontier(ys, zs, k)), default=math.inf)
-
-    best_obj = math.inf
-    best: "tuple[float, float, float] | None" = None
-    corners_y: "np.ndarray | None" = None  # current staircase, y ascending
-    corners_z: "np.ndarray | None" = None
-    corners: list[tuple[float, float]] = []
-    members = 0
-    dirty = False
-    for j in range(xs.size):
-        x = float(xs[j])
-        if x * x + G >= best_obj:
-            break  # tighter than the Figure-8 bound; same winner
-        lo, hi = int(starts[j]), int(starts[j + 1])
-        if hi > lo:
-            members += hi - lo
-            if not dirty:
-                if corners_y is None:
-                    dirty = members >= k
-                else:
-                    pos = (
-                        np.searchsorted(corners_y, y_entering[lo:hi], side="right")
-                        - 1
-                    )
-                    pierced = (pos < 0) | (
-                        z_entering[lo:hi] < corners_z[np.maximum(pos, 0)]
-                    )
-                    dirty = bool(pierced.any())
-        if members < k or not dirty:
-            continue
-        mask = enter_at <= j
-        corners = list(block_frontier(ys[mask], zs[mask], k))
-        corners_y = np.array([c[0] for c in corners])
-        corners_z = np.array([c[1] for c in corners])
-        dirty = False
-        for y, z in corners:
-            obj = x * x + y * y + z * z
-            if obj < best_obj:
-                best_obj = obj
-                best = (x, y, z)
-    if best is None:
-        raise InfeasibleRequestError("sweep found no covering relaxation")
-    return best
+#: Finalization preselects the covered rows whose squared norm is within
+#: this factor of the k-th smallest, then ranks them by the exact
+#: ``np.linalg.norm`` of :func:`~repro.core.adpar.finalize_result`.
+#: Both keys are sums of the same three squares in some rounding order,
+#: so they differ by a few ulps; the factor covers that many times
+#: over, which keeps every row that could rank in the first k.
+_KEY_MARGIN = 1.0 + 1e-12
 
 
-class VectorizedExactSolver:
-    """``adpar-exact``: the default backend, vectorized over blocks.
+#: Distinct y coordinates closer than this may collapse onto one
+#: relaxation; see :func:`_y_ties_possible`.
+_TIE_GAP = 1e-15
 
-    Property tests pin both paths — :meth:`solve` and
-    :meth:`solve_batch` — bitwise-identical (distance, alternative
-    parameters, chosen strategy indices) to the reference
-    :class:`~repro.core.adpar.ADPaRExact`.
+
+class _Planes:
+    """Views into a scratch arena for one catalog size ``n``.
+
+    Per block: ``relax`` holds the ``(3, rows, n)`` relaxations (Table
+    3, one plane per dimension), ``work`` four float planes and
+    ``flags`` four bool planes.  The rest are per-request buffers.
     """
 
-    name = "adpar-exact"
+    _FLOAT_PLANES = 7
+    _BOOL_PLANES = 4
+    _REQUEST_FLOATS = 2
+    _REQUEST_INTS = 3
 
-    #: Requests per relaxation-matrix block; bounds peak memory at
-    #: ``_CHUNK × n × 3`` floats while keeping the broadcast win.
-    _CHUNK = 128
+    def __init__(self, arena: np.ndarray, n: int, rows: int):
+        self.n = n
+        self.rows = rows
+        offset = 0
 
-    def __init__(self, context: SolverContext, options: dict):
-        context = context.with_space()
-        self.ensemble = context.ensemble
-        self.availability = context.availability
-        self.space = context.space
+        def carve(dtype, shape):
+            nonlocal offset
+            size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+            view = arena[offset : offset + size].view(dtype).reshape(shape)
+            offset += size
+            return view
 
-    def solve(
-        self, request: SolverRequest, k: "int | None" = None
-    ) -> ADPaRResult:
-        return self.solve_batch([request], k)[0]
+        self.relax = carve(np.float64, (3, rows, n))
+        self.work = carve(np.float64, (4, rows, n))
+        self.cursor_y, self.cursor_z = carve(np.float64, (2, n))
+        self.arange, self.order, self.position_of = carve(np.intp, (3, n))
+        self.flags = carve(np.bool_, (4, rows, n))
+        self.arange[:] = np.arange(n)
+        self._blocks: "dict[int, _BlockViews]" = {}
 
-    def solve_batch(
-        self, requests: Sequence[SolverRequest], k: "int | None" = None
-    ) -> list[ADPaRResult]:
-        space = self.space
-        unpacked = [unpack_request(r, k, space.size) for r in requests]
-        results: list[ADPaRResult] = []
-        for start in range(0, len(unpacked), self._CHUNK):
-            part = unpacked[start : start + self._CHUNK]
-            origins = np.stack([space.origin_of(params) for params, _ in part])
-            relax_block = space.relaxation_batch(origins)
-            for (params, kk), origin, relax in zip(part, origins, relax_block):
-                best = _vectorized_sweep(space, relax, float(origin[0]), kk)
-                results.append(
-                    finalize_result(self.ensemble, params, relax, best, kk)
-                )
-        return results
+    def block(self, m: int) -> "_BlockViews":
+        """Named views for a block of ``m`` requests (block sizes repeat)."""
+        views = self._blocks.get(m)
+        if views is None:
+            views = self._blocks[m] = _BlockViews(self, m)
+        return views
 
-
-# ------------------------------------------------------------- incremental
-def _relax_frontier_order(
-    space: RelaxationSpace,
-    relax: np.ndarray,
-    scratch: "_SweepScratch | None" = None,
-) -> np.ndarray:
-    """Row order sorting ``relax`` by ``(relax_y, relax_z)`` — no lexsort.
-
-    The per-dimension relaxations are monotone nondecreasing images of
-    the point coordinates (``max(p − o, 0)``), so the space's precomputed
-    point orders already almost sort them:
-
-    * rows whose ``relax_y`` clipped to zero, ordered by the global
-      z-dimension order (``relax_z`` is monotone in ``point_z``), come
-      first;
-    * rows with positive ``relax_y`` follow in the global y-dimension
-      order.
-
-    The only disagreement with a true lexsort is inside groups of
-    *distinct* point values that subtraction collapsed onto one
-    ``relax_y`` — detected by one neighbour comparison and re-ordered by
-    ``relax_z`` per (rare, tiny) group.  Ties in ``(relax_y, relax_z)``
-    are value-identical rows, so their internal order cannot change any
-    frontier yield.
-
-    With ``scratch`` (whose ``col_y``/``col_z`` the caller must already
-    hold staged copies of ``relax``'s y/z columns), every ``O(n)``
-    temporary lands in a warm buffer and the two halves compress
-    straight into adjacent slices of ``scratch.order_out`` — the
-    returned order is then a view into the scratch.  Same comparisons,
-    same order, either way.
-    """
-    orders = space.dimension_orders
-    y_order = orders[1]
-    z_order = orders[2]
-    if scratch is None:
-        relax_y = relax[:, 1]
-        relax_z = relax[:, 2]
-        relax_y_sorted = relax_y[y_order]
-        positive = relax_y_sorted > 0.0
-        zero_part = z_order[relax_y[z_order] == 0.0]
-        positive_part = y_order[positive]
-    else:
-        relax_z = scratch.col_z
-        relax_y_sorted = np.take(scratch.col_y, y_order, out=scratch.cursor_y)
-        positive = np.greater(relax_y_sorted, 0.0, out=scratch.mask)
-        zero_by_z = np.take(scratch.col_y, z_order, out=scratch.cursor_z)
-        zero_mask = np.equal(zero_by_z, 0.0, out=scratch.mask2)
-        # relax_y = max(p − o, 0) >= 0, so the two halves partition the
-        # rows and fill order_out exactly.
-        n_zero = int(np.count_nonzero(zero_mask))
-        zero_part = scratch.order_out[:n_zero]
-        np.compress(zero_mask, z_order, out=zero_part)
-        positive_part = scratch.order_out[n_zero:]
-        np.compress(positive, y_order, out=positive_part)
-    if positive_part.size > 1:
-        if scratch is None:
-            relax_y_positive = relax_y_sorted[positive]
-        else:
-            relax_y_positive = scratch.tmp[: positive_part.size]
-            np.compress(positive, relax_y_sorted, out=relax_y_positive)
-        collapsed = np.flatnonzero(relax_y_positive[1:] == relax_y_positive[:-1])
-        if collapsed.size:
-            cursor = 0
-            while cursor < collapsed.size:
-                start = int(collapsed[cursor])
-                end = start + 1
-                cursor += 1
-                while cursor < collapsed.size and int(collapsed[cursor]) == end:
-                    end += 1
-                    cursor += 1
-                group = positive_part[start : end + 1]
-                positive_part[start : end + 1] = group[
-                    np.argsort(relax_z[group], kind="stable")
-                ]
-    if scratch is None:
-        return np.concatenate([zero_part, positive_part])
-    return scratch.order_out
+    @classmethod
+    def footprint(cls, n: int) -> "tuple[int, int]":
+        """Bytes of the per-request buffers and of one block row."""
+        intp = np.dtype(np.intp).itemsize
+        request = n * (8 * cls._REQUEST_FLOATS + intp * cls._REQUEST_INTS)
+        return request, n * (8 * cls._FLOAT_PLANES + cls._BOOL_PLANES)
 
 
-class _SweepScratch:
-    """Warm per-solver buffers for the indexed sweep's ``O(n)`` setup.
+class _BlockViews:
+    """The first ``m`` rows of each plane, under the names the sweep uses.
 
-    Every request rebuilds the same ten ``n``-sized temporaries; at
-    fig18 scale each is large enough that a fresh allocation is served
-    by freshly mapped pages, and faulting those in costs more than the
-    gathers that fill them.  One scratch per solver keeps the pages warm
-    across a batch.  The values written are produced by the same float
-    operations as the allocating forms, so results are unchanged.
+    ``relax`` (3 planes) and ``sorted_x`` live through the sweep;
+    ``zero_by_z`` feeds the enumeration order and ``y_sorted``/``tied``
+    its tie check.  The finalization reuses ``work`` for the squared
+    relaxations and their sum (``squares``/``key``) and ``flags`` for
+    the per-dimension and joint covered masks (``below``/``covered``).
     """
 
     __slots__ = (
-        "n",
-        "col_y",
-        "col_z",
-        "cursor_y",
-        "cursor_z",
-        "entering_y",
-        "entering_z",
-        "position_of",
-        "position_by_rank",
-        "norm",
-        "bound",
-        "arange",
-        "mask",
-        "mask2",
-        "tmp",
-        "order_out",
-        "table_sorted",
-        "table_xs",
-        "table_starts",
-        "table_prefix",
+        "relax",
+        "sorted_x",
+        "y_sorted",
+        "tied",
+        "zero_by_z",
+        "squares",
+        "key",
+        "below",
+        "covered",
     )
 
-    def __init__(self, n: int):
-        self.n = n
-        self.col_y = np.empty(n)
-        self.col_z = np.empty(n)
-        self.cursor_y = np.empty(n)
-        self.cursor_z = np.empty(n)
-        self.entering_y = np.empty(n)
-        self.entering_z = np.empty(n)
-        self.position_of = np.empty(n, dtype=np.intp)
-        self.position_by_rank = np.empty(n, dtype=np.intp)
-        self.norm = np.empty(n)
-        self.bound = np.empty(n)
-        self.arange = np.arange(n, dtype=np.intp)
-        self.mask = np.empty(n, dtype=bool)
-        self.mask2 = np.empty(n, dtype=bool)
-        self.tmp = np.empty(n)
-        self.order_out = np.empty(n, dtype=np.intp)
-        self.table_sorted = np.empty(n)
-        self.table_xs = np.empty(n)
-        self.table_starts = np.empty(n, dtype=np.intp)
-        self.table_prefix = np.empty(n, dtype=np.intp)
+    def __init__(self, planes: _Planes, m: int):
+        self.relax = planes.relax[:, :m]
+        work = planes.work[:, :m]
+        flags = planes.flags[:, :m]
+        self.sorted_x, self.y_sorted = work[0], work[1]
+        self.tied, self.zero_by_z = flags[0], flags[1]
+        self.squares, self.key = work[:3], work[3]
+        self.below, self.covered = flags[:3], flags[3]
 
 
-def _indexed_sweep(
-    space: RelaxationSpace,
-    relax: np.ndarray,
-    origin: np.ndarray,
-    k: int,
-    block: int = 2048,
-    scratch: "_SweepScratch | None" = None,
-) -> tuple[float, float, float]:
-    """:func:`_vectorized_sweep`, re-derived over index structures.
+class _SweepScratch:
+    """One thread's warm arena for the exact sweep.
 
-    Result-identical — float for float — to the reference sweep, but
-    every per-request ``O(n log n)`` ingredient is replaced by an
-    ``O(n)`` (or cached) one:
-
-    * the (y, z) enumeration order comes from the space's precomputed
-      dimension orders (:func:`_relax_frontier_order`), not a lexsort;
-    * strategies enter by x-rank prefix (``searchsorted`` against the
-      presorted cost column), not an argsort over entry candidates;
-    * the global 2-D bound ``G`` maps the space's cached per-``k``
-      frontier (:meth:`RelaxationSpace.frontier_index`) through the
-      request origin — the mapped minimum is float-equal to the
-      reference's full-set frontier pass;
-    * per-candidate frontiers come from a
-      :class:`~repro.geometry.frontier_index.FrontierCursor`, which
-      repairs the previous frontier with the newly admitted rows
-      instead of rescanning every admitted row — ``O(n)`` total across
-      all of a request's evaluations instead of per evaluation;
-    * candidates whose admitted-norm floor provably cannot beat the
-      running best skip their evaluation outright
-      (:data:`_SKIP_MARGIN`);
-    * the candidate loop itself advances by jump: one vectorized
-      galloping scan over the entering points finds the next candidate
-      whose arrivals pierce the current staircase, so Python touches one
-      iteration per *frontier change* instead of per candidate.
-
-    The staircase-gating and bound-break comparisons are the same float
-    expressions as the reference's, evaluated against the same corner
-    values, so the evaluated candidate set — and therefore the winner
-    under the reference's strict-improvement tie-break — is identical.
+    Every block stages the same large temporaries; at fig18 scale a
+    fresh allocation is served by freshly mapped pages, and faulting
+    those in costs more than the arithmetic that fills them.  One arena
+    per thread keeps the pages warm across batches and solver instances
+    (the engine cache shares solvers across the serve path's threads).
+    A catalog so large that a single row overflows the budget gets a
+    one-off arena that is not retained.
     """
-    origin_x = float(origin[0])
-    origin_y = float(origin[1])
-    origin_z = float(origin[2])
-    if scratch is None or scratch.n != relax.shape[0]:
-        scratch = _SweepScratch(relax.shape[0])
-    # Stage the strided (y, z) columns contiguous once; every gather
-    # below — and the order derivation — then runs through
-    # ``np.take``/``np.compress`` with ``out=`` on warm buffers.
-    np.copyto(scratch.col_y, relax[:, 1])
-    np.copyto(scratch.col_z, relax[:, 2])
-    # Prefix length per candidate: row i is covered at candidate j iff
-    # its cost relaxation is within xs[j] + eps — identical admission
-    # rule (and float comparisons) to the reference's enter_at.
-    _, xs, prefix = space.sweep_table(origin_x, _EPS, scratch)
-    order = _relax_frontier_order(space, relax, scratch)
-    np.take(scratch.col_y, order, out=scratch.cursor_y)
-    np.take(scratch.col_z, order, out=scratch.cursor_z)
-    cursor = FrontierCursor(scratch.cursor_y, scratch.cursor_z, k, chunk=block)
-    # Position (in the cursor's enumeration order) of the row holding
-    # each admission rank, so newly admitted rank ranges turn into
-    # cursor positions with one gather.
-    position_of = scratch.position_of
-    position_of[order] = scratch.arange
-    x_order = space.dimension_orders[0]
-    position_by_rank = scratch.position_by_rank
-    np.take(position_of, x_order, out=position_by_rank)
-    entering_y = scratch.entering_y
-    entering_z = scratch.entering_z
-    np.take(scratch.col_y, x_order, out=entering_y)
-    np.take(scratch.col_z, x_order, out=entering_z)
-    # Running minimum of the admitted points' (y² + z²) norms, by entry
-    # order.  Every staircase corner pairs a pushed point's y with a
-    # k-th-smallest z that is >= that point's own z, so a corner's norm
-    # is >= its point's norm >= this prefix minimum — which makes
-    # ``x² + prefix_min`` a lower bound on everything a frontier
-    # evaluation at that prefix could produce.  Candidates whose bound
-    # (shrunk by :data:`_SKIP_MARGIN` to absorb rounding) cannot beat
-    # the running best skip the evaluation outright.
-    prefix_min_norm = scratch.norm
-    np.multiply(entering_y, entering_y, out=prefix_min_norm)
-    np.multiply(entering_z, entering_z, out=scratch.bound)
-    np.add(prefix_min_norm, scratch.bound, out=prefix_min_norm)
-    np.minimum.accumulate(prefix_min_norm, out=prefix_min_norm)
-    global_y, global_z = space.frontier_index.global_pairs(k)
-    mapped_y = np.maximum(global_y - origin_y, 0.0)
-    mapped_z = np.maximum(global_z - origin_z, 0.0)
-    G = float(np.min(mapped_y * mapped_y + mapped_z * mapped_z))
-    # x² + G is nondecreasing (float add is monotone), so the scan's
-    # stop point under the current best is one exact binary search.
-    bound_curve = scratch.bound[: xs.size]
-    np.multiply(xs, xs, out=bound_curve)
-    np.add(bound_curve, G, out=bound_curve)
+
+    __slots__ = ("arena", "planes")
+
+    def __init__(self):
+        self.arena = np.empty(_SCRATCH_BYTES, dtype=np.uint8)
+        self.planes: "_Planes | None" = None
+
+    def planes_for(self, n: int) -> _Planes:
+        if self.planes is not None and self.planes.n == n:
+            return self.planes
+        request, row = _Planes.footprint(n)
+        rows = max(1, (_SCRATCH_BYTES - request) // row)
+        need = request + rows * row
+        if need > self.arena.nbytes:
+            return _Planes(np.empty(need, dtype=np.uint8), n, rows)
+        self.planes = _Planes(self.arena, n, rows)
+        return self.planes
+
+
+_THREAD = threading.local()
+
+
+def _thread_scratch() -> _SweepScratch:
+    scratch = getattr(_THREAD, "scratch", None)
+    if scratch is None:
+        scratch = _THREAD.scratch = _SweepScratch()
+    return scratch
+
+
+def _first_reaching(
+    sorted_x: np.ndarray, target: float, key: Callable, guess: float
+) -> int:
+    """``bisect_left(sorted_x, target, key=key)`` for a nondecreasing key.
+
+    ``guess`` approximates the answer's value; its run start is checked
+    against both neighbours with the exact ``key``, and moved by a run
+    at most twice before falling back to the plain binary search.  The
+    returned index always satisfies ``key(sorted_x[r - 1]) < target <=
+    key(sorted_x[r])``, which pins it to the bisection's answer.
+    """
+    n = sorted_x.size
+    r = int(sorted_x.searchsorted(guess, side="left"))
+    for _ in range(2):
+        if r > 0 and key(sorted_x[r - 1]) >= target:
+            r = int(sorted_x.searchsorted(sorted_x[r - 1], side="left"))
+        elif r < n and key(sorted_x[r]) < target:
+            r = int(sorted_x.searchsorted(sorted_x[r], side="right"))
+        else:
+            return r
+    return bisect.bisect_left(sorted_x, target, key=key)
+
+
+def _frontier_sweep(
+    sorted_x: np.ndarray,
+    relax_y: np.ndarray,
+    relax_z: np.ndarray,
+    x_order: np.ndarray,
+    position_of: np.ndarray,
+    cursor: FrontierCursor,
+    k: int,
+    G: float,
+) -> tuple[float, float, float]:
+    """The exact Theorem-4 sweep for one request.
+
+    ``sorted_x`` is the request's cost relaxation column sorted
+    ascending; its distinct values are the candidates, and candidate
+    ``v`` admits the rows ``sorted_x <= v + eps`` — the first
+    ``searchsorted(sorted_x, v + eps, "right")`` in x-rank order.
+    ``relax_y``/``relax_z`` hold the relaxations by strategy, ``x_order``
+    the strategies by x-rank, ``position_of`` each strategy's position
+    in the cursor's (y, z) enumeration order, and ``G`` the
+    unconstrained-cost optimum of ``Y² + Z²``.
+
+    The optimum is the lexicographic minimum of ``(X² + Y² + Z², X, Y)``
+    over (candidate, frontier point) pairs — the reference's
+    strict-improvement scan order — which licenses these prunes:
+
+    * **Global 2-D bound.**  ``G`` lower-bounds every candidate's 2-D
+      completion, so the scan stops at ``X² + G ≥ best`` — earlier than
+      the reference's ``X² ≥ best`` Figure-8 bound.
+    * **Frontier-change jumps.**  If no strategy entering at a candidate
+      pierces the current (quality, latency) staircase, the frontier is
+      unchanged and every pair there is dominated by the same pair at a
+      smaller ``X``.  A galloping vectorized scan over the entering
+      points finds the next piercing row, so Python touches one
+      iteration per frontier change instead of per candidate.
+    * **Admitted-norm floor.**  Every staircase corner pairs a point's
+      ``y`` with a ``k``-th smallest ``z`` at least that point's own, so
+      ``X²`` plus the least admitted ``y² + z²`` bounds what an
+      evaluation could produce; candidates whose floor (shrunk by
+      :data:`_SKIP_MARGIN`) cannot beat the running best skip it.
+    * **Incremental frontiers.**  The :class:`FrontierCursor` repairs
+      the previous frontier with the newly admitted rows instead of
+      rescanning every admitted row.
+
+    Candidate positions, admission counts and the stop point are binary
+    searches over ``sorted_x`` with the reference's float expressions
+    (``v + eps``, ``v² + G``), and the entering points and their norms
+    are gathered only as far as the scan reaches.  The gating and bound
+    comparisons are the reference's over the same corner values, so the
+    evaluated candidate set — and the winner — is identical.
+    """
+
+    def admits(v):
+        return v + _EPS
+
+    def bound(v):
+        return v * v + G
+
+    def entering(lo: int, hi: int) -> "tuple[np.ndarray, np.ndarray]":
+        ranks = x_order[lo:hi]
+        return relax_y.take(ranks), relax_z.take(ranks)
 
     best_obj = math.inf
     best: "tuple[float, float, float] | None" = None
-    corners_y: "np.ndarray | None" = None
-    corners_z: "np.ndarray | None" = None
-    candidates = xs.size
-    j = int(np.searchsorted(prefix, k, side="left"))  # first covering >= k
+    corners: "tuple[list[float], list[float]] | None" = None  # y ascending
+    staircase: "tuple[np.ndarray, np.ndarray] | None" = None  # same, as arrays
+    floor = math.inf  # least y² + z² over the first `floored` x-ranks
+    floored = 0
     row = -1  # next entering row the pierce scan has not cleared yet
     admitted = 0  # ranks already handed to the cursor
-    while j < candidates:
-        x = float(xs[j])
+    # The first candidate admitting k rows: the least v whose v + eps
+    # reaches the k-th smallest cost relaxation.
+    r = _first_reaching(sorted_x, sorted_x[k - 1], admits, sorted_x[k - 1])
+    while True:
+        x = float(sorted_x[r])
         if x * x + G >= best_obj:
             break
-        p = int(prefix[j])
-        if (
-            corners_y is None
-            or (x * x + float(prefix_min_norm[p - 1])) * _SKIP_MARGIN
-            < best_obj
-        ):
-            new_positions = np.sort(position_by_rank[admitted:p])
+        p = int(sorted_x.searchsorted(x + _EPS, side="right"))
+        if corners is not None and p > floored:
+            entering_y, entering_z = entering(floored, p)
+            norms = np.multiply(entering_y, entering_y, out=entering_y)
+            norms += np.multiply(entering_z, entering_z, out=entering_z)
+            floor = min(floor, float(norms.min()))
+            floored = p
+        if corners is None or (x * x + floor) * _SKIP_MARGIN < best_obj:
+            new_positions = position_of.take(x_order[admitted:p])
+            new_positions.sort()
             admitted = p
-            corner_list_y, corner_list_z = cursor.frontier(new_positions)
-            for y, z in zip(corner_list_y, corner_list_z):
+            corners = cursor.frontier(new_positions)
+            staircase = None
+            for y, z in zip(*corners):
                 obj = x * x + y * y + z * z
                 if obj < best_obj:
                     best_obj = obj
                     best = (x, y, z)
-            corners_y = np.asarray(corner_list_y)
-            corners_z = np.asarray(corner_list_z)
             row = p
         # else: skipped — the stale staircase (a pointwise upper envelope
         # of the true one) keeps the gating conservative, and the scan
         # resumes past the row that triggered this visit.
-        stop = int(np.searchsorted(bound_curve, best_obj, side="left"))
-        if stop <= j + 1:
+        #
+        # x² + G is nondecreasing, so the candidates that could still
+        # win end where it reaches the best; none past this one: done.
+        following = int(sorted_x.searchsorted(x, side="right"))
+        if following == sorted_x.size or bound(sorted_x[following]) >= best_obj:
             break
-        row_stop = int(prefix[stop - 1])
+        stop = _first_reaching(
+            sorted_x, best_obj, bound, math.sqrt(max(best_obj - G, 0.0))
+        )
+        row_stop = int(sorted_x.searchsorted(sorted_x[stop - 1] + _EPS, side="right"))
+        if staircase is None:
+            staircase = (np.array(corners[0]), np.array(corners[1]))
+        corners_y, corners_z = staircase
         pierced_at = -1
         chunk = 64
         while row < row_stop:
             upto = min(row + chunk, row_stop)
-            slot = (
-                np.searchsorted(corners_y, entering_y[row:upto], side="right") - 1
-            )
+            entering_y, entering_z = entering(row, upto)
+            slot = corners_y.searchsorted(entering_y, side="right") - 1
             # take(mode="clip") maps slot -1 onto corner 0; the slot < 0
             # disjunct keeps those rows counted as piercing regardless.
             pierced = (slot < 0) | (
-                entering_z[row:upto] < corners_z.take(slot, mode="clip")
+                entering_z < corners_z.take(slot, mode="clip")
             )
-            hits = np.flatnonzero(pierced)
+            hits = pierced.nonzero()[0]
             if hits.size:
                 pierced_at = row + int(hits[0])
                 break
@@ -549,27 +417,43 @@ def _indexed_sweep(
         if pierced_at < 0:
             break
         row = pierced_at + 1
-        j = int(np.searchsorted(prefix, pierced_at, side="right"))
+        # Resume at the first candidate that admits the piercing row.
+        target = sorted_x[pierced_at]
+        r = _first_reaching(sorted_x, target, admits, target)
     if best is None:
         raise InfeasibleRequestError("sweep found no covering relaxation")
     return best
 
 
 class IncrementalExactSolver:
-    """``adpar-incremental``: the index-pruned sweep over shared geometry.
+    """``adpar-exact`` (and its alias ``adpar-incremental``).
 
-    Bitwise-identical outputs to :class:`VectorizedExactSolver` (and
-    therefore to the reference :class:`~repro.core.adpar.ADPaRExact`) —
-    property-pinned for scalar, batch, and availability-tick traffic —
-    while reusing the space's cached frontier index and presorted
-    structures, which the delta chain
-    (:meth:`~repro.core.relaxation.RelaxationSpace.shifted`) maintains
-    across availability ticks instead of rebuilding.
+    The exact Theorem-4 sweep over the space's cached structures,
+    bitwise-identical (distance, alternative parameters, chosen strategy
+    indices) to the reference :class:`~repro.core.adpar.ADPaRExact` —
+    property-pinned for scalar, batch, and availability-tick traffic.
+    Requests are solved in blocks: everything except the sweep loop is
+    staged for the whole block at once, as ``(rows, n)`` planes in the
+    thread's warm scratch:
+
+    * per-dimension relaxations, one plane each (Table 3), and the
+      sorted relaxed cost column — read off the space's presorted
+      cost column, since subtraction and clipping keep its order;
+    * the global 2-D bound ``G`` mapped from the space's cached per-``k``
+      frontier (:meth:`~repro.geometry.frontier_index.FrontierIndex.global_bounds`);
+    * the (y, z) enumeration order's ingredients — how many y
+      relaxations are zero and which, in the space's z order — so each
+      request's order is one compress and one copy, not a lexsort;
+    * finalization: one covered mask from three column compares, then
+      per request a partition to the k-th norm and a lexsort over only
+      the rows at or below it.
+
+    The space's structures are maintained across availability ticks by
+    the delta chain (:meth:`~repro.core.relaxation.RelaxationSpace.shifted`)
+    instead of being rebuilt.
     """
 
-    name = "adpar-incremental"
-
-    _CHUNK = 128
+    name = "adpar-exact"
 
     def __init__(self, context: SolverContext, options: dict):
         context = context.with_space()
@@ -579,58 +463,184 @@ class IncrementalExactSolver:
         self._block = int(options.get("block", 2048))
         if self._block < 1:
             raise ValueError(f"block must be >= 1, got {self._block}")
-        # Warm scratch, per thread: solver instances are cached in the
-        # EngineCache and shared across the serve path's worker threads,
-        # so each thread gets its own buffers.  Refaulting ~10MB of
-        # freshly mapped pages per block costs more than the relaxation
-        # arithmetic itself — warm pages are the point.
-        self._local = threading.local()
+        self._y_ties = _y_ties_possible(self.space.sorted_y)
 
     def solve(
         self, request: SolverRequest, k: "int | None" = None
     ) -> ADPaRResult:
         return self.solve_batch([request], k)[0]
 
-    def _sweep_scratch_for(self, n: int) -> _SweepScratch:
-        scratch: "_SweepScratch | None" = getattr(self._local, "sweep", None)
-        if scratch is None or scratch.n != n:
-            scratch = _SweepScratch(n)
-            self._local.sweep = scratch
-        return scratch
-
-    def _relax_scratch_for(self, rows: int, n: int) -> np.ndarray:
-        scratch: "np.ndarray | None" = getattr(self._local, "relax", None)
-        if scratch is None or scratch.shape[0] < rows or scratch.shape[1] != n:
-            scratch = np.empty((rows, n, 3), dtype=float)
-            self._local.relax = scratch
-        return scratch[:rows]
-
     def solve_batch(
         self, requests: Sequence[SolverRequest], k: "int | None" = None
     ) -> list[ADPaRResult]:
-        space = self.space
-        unpacked = [unpack_request(r, k, space.size) for r in requests]
-        sweep_scratch = self._sweep_scratch_for(space.size)
+        unpacked = [unpack_request(r, k, self.space.size) for r in requests]
+        planes = _thread_scratch().planes_for(self.space.size)
         results: list[ADPaRResult] = []
-        for start in range(0, len(unpacked), self._CHUNK):
-            part = unpacked[start : start + self._CHUNK]
-            origins = np.stack([space.origin_of(params) for params, _ in part])
-            relax_block = space.relaxation_batch(
-                origins, out=self._relax_scratch_for(len(part), space.size)
-            )
-            for (params, kk), origin, relax in zip(part, origins, relax_block):
-                best = _indexed_sweep(
-                    space,
-                    relax,
-                    origin,
-                    kk,
-                    block=self._block,
-                    scratch=sweep_scratch,
-                )
-                results.append(
-                    finalize_result(self.ensemble, params, relax, best, kk)
-                )
+        for start in range(0, len(unpacked), planes.rows):
+            part = unpacked[start : start + planes.rows]
+            results.extend(self._solve_block(part, planes))
         return results
+
+    def _solve_block(
+        self, part: "list[tuple[TriParams, int]]", planes: _Planes
+    ) -> list[ADPaRResult]:
+        space = self.space
+        m = len(part)
+        views = planes.block(m)
+        ks = [kk for _, kk in part]
+        origins = np.array(
+            [(p.cost, 1.0 - p.quality, p.latency) for p, _ in part], dtype=float
+        ).T
+        orders = space.dimension_orders
+        relax = views.relax
+        np.subtract(space.points.T[:, None, :], origins[:, :, None], out=relax)
+        np.maximum(relax, 0.0, out=relax)
+        sorted_x = views.sorted_x
+        np.subtract(space.sorted_x, origins[0, :, None], out=sorted_x)
+        np.maximum(sorted_x, 0.0, out=sorted_x)
+
+        # Global 2-D bound per request, from the cached per-k frontier.
+        index = space.frontier_index
+        distinct = set(ks)
+        if len(distinct) == 1:
+            G = index.global_bounds(ks[0], origins[1:])
+        else:
+            G = np.empty(m)
+            for kk in distinct:
+                rows = [i for i, v in enumerate(ks) if v == kk]
+                G[rows] = index.global_bounds(kk, origins[1:, rows])
+
+        # (y, z) enumeration order: relax_y = max(p_y − o_y, 0) is zero
+        # exactly where p_y <= o_y and increasing in p_y elsewhere, so
+        # along the y order the zeros come first and the positive rows
+        # form a suffix already in (y, index) order; the zero rows go
+        # first ordered by z, which relax_z preserves.
+        ry, rz = relax[1], relax[2]
+        y_order, z_order = orders[1], orders[2]
+        zero_counts = space.sorted_y.searchsorted(origins[1], side="right")
+        zero_by_z = views.zero_by_z
+        np.less_equal(space.y_in_z_order, origins[1, :, None], out=zero_by_z)
+        if self._y_ties:
+            # Positive y relaxations that share one value (equal points,
+            # or points closer than rounding) need a z re-order.
+            y_sorted, tied = views.y_sorted, views.tied
+            ry.take(y_order, axis=1, out=y_sorted, mode="clip")
+            np.equal(y_sorted[:, 1:], y_sorted[:, :-1], out=tied[:, 1:])
+
+        order = planes.order
+        position_of = planes.position_of
+        bests = []
+        for i, kk in enumerate(ks):
+            c = int(zero_counts[i])
+            z_order.compress(zero_by_z[i], out=order[:c])
+            order[c:] = y_order[c:]
+            if self._y_ties:
+                collapsed = tied[i, c + 1 :].nonzero()[0]
+                if collapsed.size:
+                    _sort_ties_by_z(order[c:], collapsed, rz[i])
+            cursor = FrontierCursor(
+                ry[i].take(order, out=planes.cursor_y, mode="clip"),
+                rz[i].take(order, out=planes.cursor_z, mode="clip"),
+                kk,
+                chunk=self._block,
+            )
+            position_of[order] = planes.arange
+            bests.append(
+                _frontier_sweep(
+                    sorted_x[i],
+                    ry[i],
+                    rz[i],
+                    orders[0],
+                    position_of,
+                    cursor,
+                    kk,
+                    float(G[i]),
+                )
+            )
+        return self._finalize_block(part, bests, views)
+
+    def _finalize_block(
+        self,
+        part: "list[tuple[TriParams, int]]",
+        bests: "list[tuple[float, float, float]]",
+        views: _BlockViews,
+    ) -> list[ADPaRResult]:
+        """:func:`~repro.core.adpar.finalize_result` for a block, field for field.
+
+        The covered mask is the reference's ``relax <= bound + 1e-9``
+        test, one compare per dimension plane.  Of the covered rows only
+        those whose squared norm is within :data:`_KEY_MARGIN` of the
+        k-th smallest can rank in the first ``k``; they alone are normed
+        and lexsorted by ``(norm, index)``, as the reference ranks all.
+        """
+        relax = views.relax
+        limits = np.array([(x + 1e-9, y + 1e-9, z + 1e-9) for x, y, z in bests])
+        np.less_equal(relax, limits.T[:, :, None], out=views.below)
+        covered = np.logical_and.reduce(views.below, axis=0, out=views.covered)
+        np.multiply(relax, relax, out=views.squares)
+        key = np.add.reduce(views.squares, axis=0, out=views.key)
+
+        names = self.ensemble.names
+        results = []
+        for i, ((params, kk), (x, y, z)) in enumerate(zip(part, bests)):
+            rows = covered[i].nonzero()[0]
+            if rows.size > kk:
+                keys = key[i].take(rows)
+                kth = np.partition(keys, kk - 1)[kk - 1]
+                rows = rows.compress(keys <= kth * _KEY_MARGIN)
+            norms = np.linalg.norm(relax[:, i][:, rows].T.copy(), axis=1)
+            chosen = tuple(rows.take(np.lexsort((rows, norms))[:kk]).tolist())
+            sq = float(x * x + y * y + z * z)
+            results.append(
+                ADPaRResult(
+                    original=params,
+                    alternative=TriParams(
+                        quality=min(max(params.quality - y, 0.0), 1.0),
+                        cost=min(max(params.cost + x, 0.0), 1.0),
+                        latency=min(max(params.latency + z, 0.0), 1.0),
+                    ),
+                    distance=math.sqrt(sq),
+                    squared_distance=sq,
+                    relaxation=(float(x), float(y), float(z)),
+                    strategy_indices=chosen,
+                    strategy_names=tuple(names[j] for j in chosen),
+                )
+            )
+        return results
+
+
+def _y_ties_possible(sorted_y: np.ndarray) -> bool:
+    """Whether two strategies can share a positive y relaxation.
+
+    Equal points do.  Distinct points ``a < b`` collapse only if
+    ``b − o`` and ``a − o`` round to one float; relaxations are at most
+    1, so that needs ``b − a`` within one ulp of 1 (2⁻⁵²).  A catalog
+    whose distinct y values are all further apart than :data:`_TIE_GAP`
+    never needs the tie re-order.
+    """
+    return sorted_y.size > 1 and float(np.diff(sorted_y).min()) <= _TIE_GAP
+
+
+def _sort_ties_by_z(
+    positive: np.ndarray, collapsed: np.ndarray, relax_z: np.ndarray
+) -> None:
+    """Re-order runs of equal positive y relaxations by z, in place.
+
+    ``collapsed[s]`` marks ``positive[s]`` and ``positive[s + 1]`` as
+    holding one y relaxation.  Ties in ``(relax_y, relax_z)`` are
+    value-identical rows, so their internal order cannot change any
+    frontier yield.
+    """
+    cursor = 0
+    while cursor < collapsed.size:
+        start = int(collapsed[cursor])
+        end = start + 1
+        cursor += 1
+        while cursor < collapsed.size and int(collapsed[cursor]) == end:
+            end += 1
+            cursor += 1
+        group = positive[start : end + 1]
+        positive[start : end + 1] = group[np.argsort(relax_z[group], kind="stable")]
 
 
 # ------------------------------------------------------------------ wrappers
@@ -788,14 +798,13 @@ def _builtin_registry() -> SolverRegistry:
     registry = SolverRegistry()
     registry.register(
         "adpar-exact",
-        VectorizedExactSolver,
-        "vectorized exact sweep (Theorem 4); the default",
+        IncrementalExactSolver,
+        "exact sweep (Theorem 4), block-staged and index-pruned; the default",
     )
     registry.register(
         "adpar-incremental",
         IncrementalExactSolver,
-        "index-pruned exact sweep over delta-maintained spaces; "
-        "bitwise-identical to adpar-exact",
+        "alias of adpar-exact, kept for specs that name it",
     )
     registry.register(
         "adpar-weighted",

@@ -206,7 +206,7 @@ class FrontierIndex:
         # Per-k cached full-set frontier pairs (see global_pairs).  Lazy
         # and idempotent, so the benign compute-twice race under shared
         # caches is harmless — same contract as the space's lazy orders.
-        self._global: "dict[int, tuple[np.ndarray, np.ndarray]]" = {}
+        self._global: "dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]" = {}
 
     @property
     def size(self) -> int:
@@ -299,6 +299,15 @@ class FrontierIndex:
         """A :class:`FrontierCursor` over this index's point sequence."""
         return FrontierCursor(self._ys, self._zs, k, chunk=chunk)
 
+    def _global_entry(self, k: int) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        entry = self._global.get(k)
+        if entry is None:
+            fy, fz = self.frontier(k)
+            pairs = np.array([fy, fz], dtype=float).reshape(2, -1)
+            entry = (pairs[0], pairs[1], pairs)
+            self._global[k] = entry
+        return entry
+
     def global_pairs(self, k: int) -> "tuple[np.ndarray, np.ndarray]":
         """Cached full-set frontier pairs for one ``k`` (arrays).
 
@@ -307,12 +316,22 @@ class FrontierIndex:
         minimum the reference enumeration produces, so computing it once
         per (space, k) replaces an O(n) pass per request.
         """
-        pair = self._global.get(k)
-        if pair is None:
-            fy, fz = self.frontier(k)
-            pair = (np.asarray(fy, dtype=float), np.asarray(fz, dtype=float))
-            self._global[k] = pair
-        return pair
+        ys, zs, _ = self._global_entry(k)
+        return ys, zs
+
+    def global_bounds(self, k: int, origins_yz: np.ndarray) -> np.ndarray:
+        """Per origin, the least ``max(y − o_y, 0)² + max(z − o_z, 0)²``
+        over the cached full-set frontier for ``k``.
+
+        ``origins_yz`` has shape ``(2, m)``; the result has shape
+        ``(m,)``.  This is the sweep's unconstrained-cost 2-D bound for
+        a block of requests, with the same float expressions per pair.
+        """
+        pairs = self._global_entry(k)[2]
+        mapped = np.subtract(pairs[:, None, :], origins_yz[:, :, None])
+        np.maximum(mapped, 0.0, out=mapped)
+        np.multiply(mapped, mapped, out=mapped)
+        return np.minimum.reduce(np.add(mapped[0], mapped[1]), axis=1)
 
 
 class FrontierCursor:
@@ -366,8 +385,11 @@ class FrontierCursor:
         admitted since the previous call, ascending and disjoint from
         everything admitted before.
         """
-        merged = np.concatenate([self._survivors, new_positions])
-        merged.sort(kind="stable")
+        if self._survivors.size:
+            merged = np.concatenate([self._survivors, new_positions])
+            merged.sort(kind="stable")
+        else:
+            merged = new_positions
         ys, zs = self._ys, self._zs
         k = self._k
         out_y: list[float] = []

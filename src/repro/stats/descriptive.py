@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy import stats as sps
 
 
 @dataclass(frozen=True)
@@ -48,6 +47,8 @@ def summarize(values: Iterable[float], confidence: float = 0.95) -> Summary:
     mean = float(arr.mean())
     if arr.size == 1:
         return Summary(1, mean, 0.0, 0.0, mean, mean, confidence)
+    from scipy import stats as sps  # deferred: no serve path loads scipy
+
     std = float(arr.std(ddof=1))
     se = std / float(np.sqrt(arr.size))
     half = float(sps.t.ppf(0.5 + confidence / 2.0, df=arr.size - 1)) * se

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 
 @dataclass(frozen=True)
@@ -40,6 +39,8 @@ def welch_t_test(sample_a: Iterable[float], sample_b: Iterable[float]) -> TTestR
     """Welch two-sample t-test (unequal variances) of mean(a) != mean(b)."""
     a = _as_array("sample_a", sample_a)
     b = _as_array("sample_b", sample_b)
+    from scipy import stats as sps  # deferred: no serve path loads scipy
+
     result = sps.ttest_ind(a, b, equal_var=False)
     return TTestResult(
         statistic=float(result.statistic),
@@ -55,6 +56,8 @@ def paired_t_test(sample_a: Iterable[float], sample_b: Iterable[float]) -> TTest
     b = _as_array("sample_b", sample_b)
     if a.size != b.size:
         raise ValueError(f"paired samples must match in size ({a.size} vs {b.size})")
+    from scipy import stats as sps  # deferred: no serve path loads scipy
+
     result = sps.ttest_rel(a, b)
     return TTestResult(
         statistic=float(result.statistic),
@@ -97,6 +100,8 @@ def linear_fit_significance(
         raise ValueError("need at least 3 points for a slope CI")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    from scipy import stats as sps  # deferred: no serve path loads scipy
+
     fit = sps.linregress(x_arr, y_arr)
     dof = x_arr.size - 2
     t_crit = float(sps.t.ppf(0.5 + confidence / 2.0, df=dof))

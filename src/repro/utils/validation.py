@@ -7,6 +7,7 @@ inside an optimizer.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 def check_fraction(name: str, value: float, allow_zero: bool = True) -> float:
     """Validate that ``value`` lies in ``[0, 1]`` and return it as ``float``."""
     value = float(value)
-    if np.isnan(value):
+    if math.isnan(value):
         raise ValueError(f"{name} must not be NaN")
     low_ok = value >= 0.0 if allow_zero else value > 0.0
     if not (low_ok and value <= 1.0):

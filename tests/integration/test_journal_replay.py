@@ -85,6 +85,24 @@ def test_same_spec_replay_is_bitwise_identical(tmp_path):
     assert "bitwise identical" in report.summary()
 
 
+#: Two journaled sessions (availability 0.6 and 0.95, ``max``
+#: aggregation, 60 strategies, bursts of 12 with completion waves and
+#: deferred retries) recorded while ``adpar-exact`` ran the vectorized
+#: column sweep.  The indexed sweep that now serves that name must
+#: reenact every recorded decision bitwise.
+ADPAR_EXACT_TRACE = Path(__file__).parent / "fixtures" / "adpar_exact_trace"
+
+
+def test_recorded_adpar_exact_trace_replays_bitwise_identical():
+    _ensemble, workload = load_trace(str(ADPAR_EXACT_TRACE))
+    assert workload.sessions == 2
+    report = replay_trace(str(ADPAR_EXACT_TRACE))
+    assert report.decisions == 111
+    assert report.bitwise_identical
+    assert report.flips == 0 and not report.diffs
+    assert "bitwise identical" in report.summary()
+
+
 def test_override_replay_diffs_account_for_every_pair(tmp_path):
     _sid, decisions = record_session(tmp_path)
     report = replay_trace(str(tmp_path), overrides={"availability": 0.25})

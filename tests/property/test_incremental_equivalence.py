@@ -1,30 +1,32 @@
-"""Differential pins for the incremental ADPaR path.
+"""Differential pins for the exact ADPaR sweep.
 
-``adpar-incremental`` re-derives the exact sweep over index structures
-(block-summary frontier index, cached sweep orders, delta-maintained
-spaces), so its gate is the same as the vectorized refactor's was:
-**bitwise** equality with ``adpar-exact`` — scalar, batch, and across
-randomized availability-tick schedules through the
-:class:`IncrementalSpaceCache` chain.  The sweep's edge-case
+``adpar-exact`` (and its alias ``adpar-incremental``) re-derives the
+exact sweep over index structures (cached sweep orders, the per-k global
+frontier, delta-maintained spaces) and stages it per block of requests,
+so its gate is **bitwise** equality with the seed oracle ``ADPaRExact``
+— scalar, batch, and across randomized availability-tick schedules
+through the :class:`IncrementalSpaceCache` chain.  The sweep's edge-case
 ingredients (``block_frontier`` at degenerate block sizes and duplicate
 ties, ``sweep_values``/``sweep_table`` against their raw NumPy
-formulations, ``shifted`` against a cold rebuild) are pinned alongside.
+formulations, the block finalization against ``finalize_result``,
+``shifted`` against a cold rebuild) are pinned alongside.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.adpar import ADPaRExact
+from repro.core.adpar import ADPaRExact, finalize_result
 from repro.core.params import TriParams
 from repro.core.relaxation import BufferPool, RelaxationSpace
 from repro.core.request import DeploymentRequest
 from repro.core.strategy import StrategyEnsemble
 from repro.engine import IncrementalSpaceCache, RecommendationEngine, SolverContext
-from repro.engine.solvers import IncrementalExactSolver, VectorizedExactSolver
+from repro.engine import solvers
+from repro.engine.solvers import IncrementalExactSolver
 from repro.exceptions import InfeasibleRequestError
 from repro.geometry.sweepline import ParetoSweep, block_frontier
 
@@ -97,17 +99,26 @@ def test_sweep_table_prefix_matches_direct_searchsorted(points, origin_x, eps):
     )
 
 
-def test_sweep_table_scratch_and_allocating_forms_agree():
+def test_sweep_table_matches_bisected_admission():
+    """The sweep's binary-searched admission == the full candidate table.
+
+    The first candidate admitting a row (its ``v + eps`` reaching the
+    row's cost relaxation) is the table's ``searchsorted(prefix, row,
+    "right")`` — on duplicate-heavy data, with eps collisions (0.1) and
+    without (1e-12).
+    """
     rng = np.random.default_rng(5)
     points = [TriParams(*np.round(rng.random(3) * 4) / 4) for _ in range(30)]
     space = RelaxationSpace(StrategyEnsemble.from_params(points), 1.0)
-    solver = IncrementalExactSolver(SolverContext(space.ensemble, 1.0, space), {})
-    scratch = solver._sweep_scratch_for(space.size)
     for origin_x in (0.0, 0.25, 0.3, 1.0):
-        plain = space.sweep_table(origin_x, 1e-12)
-        pooled = space.sweep_table(origin_x, 1e-12, scratch)
-        for a, b in zip(plain, pooled):
-            assert np.array_equal(a, b)
+        for eps in (1e-12, 0.1):
+            sorted_relax, xs, prefix = space.sweep_table(origin_x, eps)
+            for row, target in enumerate(sorted_relax):
+                got = solvers._first_reaching(
+                    sorted_relax, target, lambda v: v + eps, target
+                )
+                j = int(np.searchsorted(prefix, row, side="right"))
+                assert got == np.searchsorted(sorted_relax, xs[j], side="left")
 
 
 @settings(max_examples=60, deadline=None)
@@ -138,7 +149,7 @@ def adpar_instances(draw, max_points=9):
 def _solver_pair(ensemble, availability=1.0, block=512):
     context = SolverContext(ensemble, availability).with_space()
     return (
-        VectorizedExactSolver(context, {}),
+        ADPaRExact(ensemble, availability, space=context.space),
         IncrementalExactSolver(context, {"block": block}),
     )
 
@@ -169,13 +180,76 @@ def test_incremental_batch_bitwise_identical_to_exact(points, requests, k):
     k = min(k, len(points))
     exact, incremental = _solver_pair(StrategyEnsemble.from_params(points))
     try:
-        expected = exact.solve_batch(requests, k)
+        expected = [exact.solve(request, k) for request in requests]
     except InfeasibleRequestError:
         with pytest.raises(InfeasibleRequestError):
             incremental.solve_batch(requests, k)
         return
     got = incremental.solve_batch(requests, k)
     for want, have in zip(expected, got):
+        assert_bitwise_equal(have, want)
+
+
+@st.composite
+def finalize_blocks(draw, max_points=10, max_requests=5):
+    """A catalog plus a block of (params, k, covered-seed) requests.
+
+    Each request's bound is the componentwise maximum relaxation over
+    ``k`` drawn rows, so at least those ``k`` are covered — often
+    exactly them, and on the quantized grid with norm ties among the
+    covered rows.  The ``k`` vary within the block.
+    """
+    mix = st.one_of(params_strategy, tied_params)
+    points = draw(st.lists(mix, min_size=1, max_size=max_points))
+    n = len(points)
+    part = []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_requests))):
+        k = draw(st.integers(min_value=1, max_value=n))
+        rows = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=n - 1),
+                min_size=k,
+                max_size=k,
+                unique=True,
+            )
+        )
+        part.append((draw(mix), k, rows))
+    return points, part
+
+
+@settings(max_examples=150, deadline=None)
+@given(finalize_blocks())
+@example(  # covered.size == k with a norm tie: two equal points, k = 2
+    (
+        [
+            TriParams(0.5, 0.75, 0.75),
+            TriParams(0.5, 0.75, 0.75),
+            TriParams(0.0, 1.0, 1.0),
+        ],
+        [
+            (TriParams(1.0, 0.5, 0.5), 2, [0, 1]),
+            (TriParams(1.0, 0.5, 0.5), 3, [0, 1, 2]),
+        ],
+    )
+)
+def test_block_finalization_matches_finalize_result(instance):
+    """The block finalization == ``finalize_result``, field for field."""
+    points, part = instance
+    ensemble = StrategyEnsemble.from_params(points)
+    space = RelaxationSpace(ensemble, 1.0)
+    solver = IncrementalExactSolver(SolverContext(ensemble, 1.0, space), {})
+    views = solvers._thread_scratch().planes_for(space.size).block(len(part))
+    requests, bests, expected = [], [], []
+    for row, (params, k, rows) in enumerate(part):
+        relax = space.relaxations(space.origin_of(params))
+        views.relax[:, row] = relax.T
+        best = tuple(float(v) for v in relax[rows].max(axis=0))
+        requests.append((params, k))
+        bests.append(best)
+        expected.append(finalize_result(ensemble, params, relax, best, k))
+    got = solver._finalize_block(requests, bests, views)
+    for have, want in zip(got, expected):
+        assert have.original == want.original
         assert_bitwise_equal(have, want)
 
 

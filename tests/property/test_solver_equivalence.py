@@ -4,7 +4,7 @@ The refactor is gated like the planner refactor was: the seed
 implementations (``ADPaRExact``, the baselines, the weighted brute
 force) are the oracles, and the registry-served backends — scalar and
 batch paths — must reproduce them.  For ``adpar-exact`` the pin is
-*bitwise*: the vectorized sweep prunes candidates the reference scans,
+*bitwise*: the indexed sweep prunes candidates the reference scans,
 so any deviation in its dominance/tie-break reasoning shows up here as a
 float that is close but not equal.
 """

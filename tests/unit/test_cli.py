@@ -244,3 +244,31 @@ class TestMain:
             "fig18a",
             "fig18bc",
         }
+
+
+def test_serving_imports_leave_scipy_unloaded():
+    """``scipy.stats`` backs only the experiment statistics, so importing
+    the CLI and the service layer must not pay its import time or RSS."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    probe = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.cli, repro.api; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "[]"

@@ -316,3 +316,75 @@ class TestSessionSolverRouting:
         reference = OneDimBaseline(tiny_ensemble, availability=1.0).solve(impossible)
         assert decision.alternative.alternative == reference.alternative
         assert decision.alternative.distance == reference.distance
+
+
+class TestSweepScratch:
+    """The exact sweep's warm buffers are per thread, not per solver."""
+
+    def test_aliases_share_one_solver_class(self):
+        registry = default_solver_registry()
+        context = SolverContext(
+            StrategyEnsemble.from_params([TriParams(0.5, 0.5, 0.5)]), 1.0
+        ).with_space()
+        exact = registry.create("adpar-exact", context)
+        alias = registry.create("adpar-incremental", context)
+        assert type(exact) is type(alias)
+
+    def test_retained_scratch_is_bounded_per_thread(self):
+        import gc
+        import threading
+
+        from repro.engine import solvers
+        from repro.workloads.generators import (
+            generate_requests,
+            generate_strategy_ensemble,
+        )
+
+        rng = np.random.default_rng(3)
+        ensemble = generate_strategy_ensemble(2000, "uniform", rng)
+        context = SolverContext(ensemble, 0.6).with_space()
+        registry = default_solver_registry()
+        backends = [
+            registry.create(name, context)
+            for name in ("adpar-exact", "adpar-incremental")
+        ]
+        requests = [r.params for r in generate_requests(128, k=3, seed=rng)]
+        solved = threading.Barrier(3)
+        release = threading.Barrier(3)
+        held, errors = [], []
+
+        def work():
+            try:
+                for backend in backends:
+                    assert len(backend.solve_batch(requests, 3)) == 128
+                held.append(solvers._thread_scratch())
+            except Exception as exc:  # surfaced by the assertions below
+                errors.append(exc)
+            finally:
+                solved.wait()
+                release.wait()
+
+        workers = [threading.Thread(target=work) for _ in range(2)]
+        for worker in workers:
+            worker.start()
+        solved.wait()  # both workers have solved and are still alive
+        scratches = [
+            obj for obj in gc.get_objects() if isinstance(obj, solvers._SweepScratch)
+        ]
+        live_threads = threading.active_count()
+        release.wait()
+        for worker in workers:
+            worker.join()
+        assert not errors
+        # One scratch per worker thread, whatever the solver instance.
+        assert len(held) == 2 and held[0] is not held[1]
+        assert all(any(s is h for s in scratches) for h in held)
+        assert len(scratches) <= live_threads
+        retained = sum(s.arena.nbytes for s in scratches)
+        assert retained <= solvers._SCRATCH_BYTES * live_threads
+        # The solver instances themselves keep no per-request buffers.
+        for backend in backends:
+            assert not any(
+                isinstance(value, (np.ndarray, threading.local))
+                for value in vars(backend).values()
+            )
